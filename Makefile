@@ -46,11 +46,10 @@ bench-reshard:
 bench-compress:
 	go test -run '^TestCompressBenchReport$$' -count=1 -v .
 
-# Live-tier latency: add-to-visible time (AddDocument → query returns the
-# document) with the live tier vs a flush per document, and the query
-# workload's cost with LiveSearch on vs off, written to BENCH_live.json.
-# Gates: visibility in microseconds, clearly cheaper than flushing, no
-# query-time regression.
+# Live-search latency: add-to-visible time (AddDocument → query returns the
+# document) served from the pending tier vs a flush per document, written
+# to BENCH_live.json. Gates: visibility in microseconds, clearly cheaper
+# than flushing.
 bench-live:
 	go test -run '^TestLiveBenchReport$$' -count=1 -v .
 

@@ -74,7 +74,7 @@ func legacySearchBoolean(e *Engine, q string) ([]DocID, error) {
 		s.mu.RLock()
 		defer s.mu.RUnlock()
 		t0 := s.obs.now()
-		src, err := query.PrefetchExpr(expr, shardSource{s}, s.opts.Workers)
+		src, err := query.PrefetchExpr(expr, s.tiers(), s.opts.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -107,7 +107,7 @@ func legacySearchVector(e *Engine, text string, k int) ([]Match, error) {
 		s.mu.RLock()
 		defer s.mu.RUnlock()
 		t0 := s.obs.now()
-		src, err := query.PrefetchVector(vq, shardSource{s}, s.opts.Workers)
+		src, err := query.PrefetchVector(vq, s.tiers(), s.opts.Workers)
 		if err != nil {
 			return nil, err
 		}

@@ -90,24 +90,22 @@ type Snapshot struct {
 }
 
 // SnapshotContract is the engine's snapshot-read rule, one TierPair per
-// read tier: the on-disk index behind its flush snapshot, the live tier
-// behind its detached mid-flush twin, and the legacy pending bag map behind
-// the detached batch.
+// read tier: the on-disk index behind its flush snapshot, and the pending
+// runs behind the detached batch.
 var SnapshotContract = Snapshot{
 	Pkg:  "dualindex",
 	Type: "shard",
 	Tiers: []TierPair{
 		{Live: "index", Snaps: []string{"snap", "snapBatch"}},
-		{Live: "live", Snaps: []string{"snapLive"}},
 		{Live: "pending", Snaps: []string{"snapBatch"}},
 	},
 	GuardField: "mu",
 	FlushField: "flushMu",
 	EncapFields: []string{
 		"index", "snap", "snapBatch", "pending",
-		"live", "snapLive", "pendingDocs", "pendingPostings",
+		"pendingDocs", "pendingPostings",
 	},
-	UnderRLock:   []string{"list", "tiers", "prefetchPlan", "verifyDocs", "liveDocTokens"},
+	UnderRLock:   []string{"tiers", "prefetchPlan", "verifyDocs"},
 	Constructors: []string{"openShard"},
 }
 

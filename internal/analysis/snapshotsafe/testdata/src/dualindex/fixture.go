@@ -1,6 +1,6 @@
 // Package dualindex mirrors the engine's shard for the snapshotsafe golden
-// tests: the field names (index, snap, snapBatch, pending, live, snapLive,
-// mu, flushMu) match internal/analysis/contracts' SnapshotContract.
+// tests: the field names (index, snap, snapBatch, pending, mu, flushMu)
+// match internal/analysis/contracts' SnapshotContract.
 package dualindex
 
 import "sync"
@@ -15,10 +15,6 @@ type Snapshot struct{}
 func (sn *Snapshot) IsDeleted(id int) bool { return false }
 func (sn *Snapshot) Get(w int) int         { return w }
 
-type liveTier struct{ docs int }
-
-func (lt *liveTier) Docs(id int) (int, bool) { return id, true }
-
 type shard struct {
 	mu              sync.RWMutex
 	flushMu         sync.Mutex
@@ -26,8 +22,6 @@ type shard struct {
 	snap            *Snapshot
 	snapBatch       map[int][]int
 	pending         map[int][]int
-	live            *liveTier
-	snapLive        *liveTier
 	pendingDocs     int
 	pendingPostings int64
 }
@@ -38,7 +32,6 @@ func openShard() *shard {
 	s := &shard{}
 	s.index = &Index{}
 	s.pending = map[int][]int{}
-	s.live = &liveTier{}
 	return s
 }
 
@@ -58,8 +51,9 @@ func (e *Engine) observeClosure() func() int {
 	return func() int { return len(s.pending) } // want "accessed outside"
 }
 
-// list is snapshot-aware (the real list()'s shape): clean.
-func (s *shard) list(w int) int {
+// tiers is contractually "called under RLock" and snapshot-aware (the
+// real tiers()'s shape): clean.
+func (s *shard) tiers(w int) int {
 	if s.snap != nil {
 		return s.snap.Get(w)
 	}
@@ -80,13 +74,6 @@ func (s *shard) verifyDocs(id int) bool {
 	return s.index.IsDeleted(id) // want "without consulting the flush snapshot"
 }
 
-// liveGauge: a metrics closure reading the live tier directly runs with no
-// shard lock; the field swaps at flush publish.
-func (e *Engine) liveGauge() func() int {
-	s := e.shards[0]
-	return func() int { return s.live.docs } // want "accessed outside"
-}
-
 // pendingCounters: the size counters are encapsulated like the structures
 // they size; engine layers use the shard's accessors.
 func (e *Engine) pendingCounters() int64 {
@@ -95,26 +82,10 @@ func (e *Engine) pendingCounters() int64 {
 	return int64(docs) + s.pendingPostings // want "accessed outside"
 }
 
-// liveDocTokens reads the live tier beside its detached mid-flush twin —
-// the tier-complete shape of the real method. Clean.
-func (s *shard) liveDocTokens(id int) (int, bool) {
-	if s.snapLive != nil {
-		return s.snapLive.Docs(id)
-	}
-	return s.live.Docs(id)
-}
-
-// liveOnly reads the live tier on a read path without the detached twin:
-// mid-flush, the documents the flush is applying vanish from its answers.
-func (s *shard) liveOnly(id int) (int, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.live.Docs(id) // want "without consulting the flush snapshot"
-}
-
-// pendingOnly reads the pending bag map on a read path without the detached
-// batch — same completeness hole, legacy representation. Note the index
-// tier's snapshot does not excuse it: tiers are judged independently.
+// pendingOnly reads the pending runs on a read path without the detached
+// batch: mid-flush, the documents the flush is applying vanish from its
+// answers. Note the index tier's snapshot does not excuse it: tiers are
+// judged independently.
 func (s *shard) pendingOnly(w int) []int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -1,116 +1,26 @@
 package dualindex
 
 import (
-	"dualindex/internal/lexer"
 	"dualindex/internal/postings"
 	"dualindex/internal/query"
 )
 
-// The live tier (Options.LiveSearch): a read-optimized in-memory inverted
-// index of the documents awaiting a flush, making AddDocument → searchable
-// instantaneous instead of a flush interval away. With it, every query
-// consults three tiers behind one merge abstraction (query.TieredSource):
+// Live search: every query consults up to three tiers behind one merge
+// abstraction (query.TieredSource), so a document is searchable the moment
+// AddDocument returns instead of a flush interval later:
 //
-//   - the live tier — per-word sorted, frequency-aggregated posting runs
-//     plus per-document positional tokens, maintained incrementally as
-//     documents arrive;
-//   - mid-flush, the detached batch the flush is applying (the live tier
-//     frozen at publish time), read beside the flush's index snapshot;
+//   - the pending tier — per-word sorted, frequency-aggregated posting runs
+//     of the documents added since the last flush, grown one document at a
+//     time (shard.pending);
+//   - mid-flush, the detached batch the flush is applying (the pending tier
+//     frozen at publish time, shard.snapBatch), read beside the flush's
+//     index snapshot;
 //   - the on-disk index (or its published pre-flush snapshot).
 //
 // The tiers partition the document set — a document is pending, detaching,
 // or flushed, never two at once — so the merged per-word lists equal what
 // the same documents yield after a flush, and query answers are independent
-// of flush timing. With LiveSearch off the read path serves the same three
-// tiers from the legacy structures (the pending bag map), byte-identical to
-// the pre-live-tier engine.
-
-// liveTier is the in-memory pending batch in its queryable form: what the
-// write path appends one document at a time, the read path consumes as
-// sorted per-word runs. Positions ride along so the positional layer can
-// verify phrase, proximity and region conditions against unflushed
-// documents from memory, without a document-store round trip.
-//
-// A liveTier is guarded by its shard's mu: grown under Lock
-// (addDocumentLocked), read under RLock, detached and retired by the flush
-// publish/release protocol under Lock.
-type liveTier struct {
-	// words holds one sorted (doc, freq) run per word. Documents reach a
-	// shard in ascending identifier order, so each run grows by a tail
-	// Push — no per-query sort, unlike the legacy bag map.
-	words map[postings.WordID]*postings.List
-	// tokens holds each pending document's positional token sequence,
-	// exactly lexer.TokenizePositions of its text — what candidate
-	// verification would otherwise re-derive from the document store.
-	tokens map[postings.DocID][]lexer.Token
-	// docs and postings size the tier for stats, metrics and the
-	// maintenance controller's signals.
-	docs     int
-	postings int64
-}
-
-func newLiveTier() *liveTier {
-	return &liveTier{
-		words:  make(map[postings.WordID]*postings.List),
-		tokens: make(map[postings.DocID][]lexer.Token),
-	}
-}
-
-// add indexes one arriving document into the tier: words is the document's
-// token bag resolved to word identifiers (the same lexer.Tokenize output
-// the pending flush batch records, so live answers and post-flush answers
-// agree byte for byte) and toks its positional sequence. doc must exceed
-// every identifier already in the tier.
-func (lt *liveTier) add(doc postings.DocID, words []postings.WordID, toks []lexer.Token) {
-	for _, w := range words {
-		run := lt.words[w]
-		if run == nil {
-			run = &postings.List{}
-			lt.words[w] = run
-		}
-		// A duplicate token (under lexer.Options.KeepDuplicates) pushes the
-		// tail document again, and Push folds it into one posting with the
-		// frequency accumulated — the same aggregation postings.FromDocs
-		// applies to the flush batch.
-		run.Push(doc, 1)
-	}
-	lt.tokens[doc] = toks
-	lt.docs++
-	lt.postings += int64(len(words))
-}
-
-// list returns the tier's run for w, or nil when the word has no pending
-// postings. The returned list aliases the tier; callers filter (and thereby
-// copy) before handing it to query execution.
-func (lt *liveTier) list(w postings.WordID) *postings.List { return lt.words[w] }
-
-// docTokens returns doc's positional tokens, if the document is in the tier.
-func (lt *liveTier) docTokens(doc postings.DocID) ([]lexer.Token, bool) {
-	toks, ok := lt.tokens[doc]
-	return toks, ok
-}
-
-// absorb folds newer — a tier whose every document identifier exceeds this
-// tier's — back into lt. It is the flush failure path: the detached tier
-// rejoins the documents that arrived while the failed flush ran, so no
-// document loses searchability.
-func (lt *liveTier) absorb(newer *liveTier) {
-	for w, run := range newer.words {
-		old := lt.words[w]
-		if old == nil {
-			lt.words[w] = run
-			continue
-		}
-		// Identifier disjointness makes this a pure concatenation; Union
-		// keeps it allocation-simple on a path only a failed flush takes.
-		lt.words[w] = postings.Union(old, run)
-	}
-	for d, toks := range newer.tokens {
-		lt.tokens[d] = toks
-	}
-	lt.docs += newer.docs
-	lt.postings += newer.postings
-}
+// of flush timing.
 
 // The tier adapters below are what shard.tiers composes into a
 // query.TieredSource; diskTier additionally serves prefix expansion.
@@ -143,16 +53,13 @@ func (t diskTier) WordsWithPrefix(prefix string) []string {
 	return t.s.vocab.WordsWithPrefix(prefix)
 }
 
-// memTier adapts one in-memory tier — the live tier or, mid-flush, the
-// detached batch — to the query package's Source, in whichever
-// representation the engine maintains: the read-optimized liveTier
-// (Options.LiveSearch) or the legacy pending bag map. Deleted documents are
+// memTier adapts one in-memory tier — the pending runs or, mid-flush, the
+// detached batch — to the query package's Source. Deleted documents are
 // filtered here, with the same deletion view as the disk tier beside it, so
 // a document deleted mid-flush disappears from every tier at once.
 type memTier struct {
 	s         *shard
-	live      *liveTier                            // LiveSearch representation, or nil
-	bags      map[postings.WordID][]postings.DocID // legacy representation
+	runs      map[postings.WordID]*postings.List
 	isDeleted func(postings.DocID) bool
 }
 
@@ -161,17 +68,10 @@ func (t memTier) List(word string) (*postings.List, error) {
 	if !known {
 		return &postings.List{}, nil
 	}
-	if t.live != nil {
-		run := t.live.list(w)
-		if run.Len() == 0 {
-			return &postings.List{}, nil
-		}
-		// Filter copies, so query execution never aliases the growing run.
-		return run.Filter(t.isDeleted), nil
-	}
-	docs := t.bags[w]
-	if len(docs) == 0 {
+	run := t.runs[w]
+	if run.Len() == 0 {
 		return &postings.List{}, nil
 	}
-	return postings.FromDocs(docs).Filter(t.isDeleted), nil
+	// Filter copies, so query execution never aliases the growing run.
+	return run.Filter(t.isDeleted), nil
 }

@@ -1,22 +1,26 @@
-// Tests for the live tier (Options.LiveSearch): a document must be
-// servable by every query kind the moment AddDocument returns, with answers
-// byte-equal to the flushed-then-queried ones — and, more generally, query
-// answers must be invariant under flush placement.
+// Tests for live search: a document must be servable by every query kind
+// the moment AddDocument returns, with answers byte-equal to the
+// flushed-then-queried ones — and, more generally, query answers must be
+// invariant under flush placement, even when a flush fails.
 package dualindex
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"dualindex/internal/disk"
+	"dualindex/internal/lexer"
 )
 
-func liveEngine(t *testing.T, live bool, scoring string, shards int) *Engine {
+func liveEngine(t *testing.T, scoring string, shards int) *Engine {
 	t.Helper()
 	eng, err := Open(Options{
 		KeepDocuments: true,
-		LiveSearch:    live,
 		Scoring:       scoring,
 		Shards:        shards,
 		Buckets:       8,
@@ -66,15 +70,15 @@ func liveAnswers(t *testing.T, eng *Engine) map[string]any {
 	return out
 }
 
-// TestLiveSearchImmediateVisibility is the tentpole's acceptance gate: with
-// LiveSearch on, a document is returned by every query kind — under either
-// scoring, on one shard or several — immediately after AddDocument, and the
-// answers are deep-equal to the ones the same engine gives after flushing.
+// TestLiveSearchImmediateVisibility: a document is returned by every query
+// kind — under either scoring, on one shard or several — immediately after
+// AddDocument, and the answers are deep-equal to the ones the same engine
+// gives after flushing.
 func TestLiveSearchImmediateVisibility(t *testing.T) {
 	for _, scoring := range []string{ScoringVector, ScoringBM25} {
 		for _, shards := range []int{1, 3} {
 			t.Run(fmt.Sprintf("%s/shards=%d", scoring, shards), func(t *testing.T) {
-				eng := liveEngine(t, true, scoring, shards)
+				eng := liveEngine(t, scoring, shards)
 				defer eng.Close()
 				// A flushed background so the on-disk tier participates too.
 				eng.AddDocument("brown bears hibernate slowly")
@@ -116,46 +120,6 @@ func TestLiveSearchImmediateVisibility(t *testing.T) {
 	}
 }
 
-// TestLiveSearchMatchesLegacyPending pins the two representations of the
-// pending tier against each other: with documents awaiting a flush, an
-// engine with LiveSearch on answers exactly like one with it off (which
-// sorts the legacy pending bags per query) — same docs, same scores.
-func TestLiveSearchMatchesLegacyPending(t *testing.T) {
-	texts := synthTexts(11, 60, 50, 30)
-	for _, scoring := range []string{ScoringVector, ScoringBM25} {
-		on := liveEngine(t, true, scoring, 2)
-		off := liveEngine(t, false, scoring, 2)
-		for i, text := range texts {
-			on.AddDocument(text)
-			off.AddDocument(text)
-			if i == len(texts)/2 {
-				// Half the corpus on disk, half pending.
-				if _, err := on.FlushBatch(); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := off.FlushBatch(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		for _, q := range []string{"waa and wab", "wa* and not wac", "waa or (wab and wad)", "waa wab wac"} {
-			got, err := on.Query(q, 15)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := off.Query(q, 15)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s %q: live %v, legacy %v", scoring, q, got, want)
-			}
-		}
-		on.Close()
-		off.Close()
-	}
-}
-
 // liveInvarianceDoc builds one synthetic document from a seeded source; a
 // third get a Subject: title line so region queries have matches.
 func liveInvarianceDoc(r *rand.Rand) string {
@@ -191,13 +155,16 @@ func TestFlushInvarianceProperty(t *testing.T) {
 		"waa near/4 wac",
 		"title:waa or title:wab",
 		"waa wab wac wad",
+		"wa* and not wac",
+		"waa or (wab and wad)",
+		"waa wab wac",
 	}
 	schedules := map[string]int{"never": 0, "every": 1, "third": 3, "seventh": 7, "end": len(docs)}
 
 	for _, scoring := range []string{ScoringVector, ScoringBM25} {
 		baseline := map[string][]Match{}
 		for name, every := range schedules {
-			eng := liveEngine(t, true, scoring, 2)
+			eng := liveEngine(t, scoring, 2)
 			for i, d := range docs {
 				eng.AddDocument(d)
 				if every > 0 && (i+1)%every == 0 {
@@ -227,57 +194,168 @@ func TestFlushInvarianceProperty(t *testing.T) {
 }
 
 // TestStatsPendingCounts covers the observability satellite: Stats and
-// ShardStats report the unflushed volume, identically in both pending-tier
-// representations, and a flush drains the counts to zero.
+// ShardStats report the unflushed volume, and a flush drains the counts to
+// zero.
 func TestStatsPendingCounts(t *testing.T) {
-	for _, live := range []bool{false, true} {
-		eng := liveEngine(t, live, ScoringVector, 2)
-		eng.AddDocument("one two three")
-		eng.AddDocument("two three four five")
-		st := eng.Stats()
-		if st.PendingDocs != 2 {
-			t.Errorf("live=%v: PendingDocs = %d, want 2", live, st.PendingDocs)
-		}
-		if st.PendingPostings != 7 {
-			t.Errorf("live=%v: PendingPostings = %d, want 7", live, st.PendingPostings)
-		}
-		var docs int
-		var posts int64
-		for _, ss := range eng.ShardStats() {
-			docs += ss.PendingDocs
-			posts += ss.PendingPostings
-		}
-		if docs != st.PendingDocs || posts != st.PendingPostings {
-			t.Errorf("live=%v: ShardStats sum (%d, %d) disagrees with Stats (%d, %d)",
-				live, docs, posts, st.PendingDocs, st.PendingPostings)
-		}
-		if _, err := eng.FlushBatch(); err != nil {
-			t.Fatal(err)
-		}
-		if st := eng.Stats(); st.PendingDocs != 0 || st.PendingPostings != 0 {
-			t.Errorf("live=%v: after flush PendingDocs = %d, PendingPostings = %d, want 0, 0",
-				live, st.PendingDocs, st.PendingPostings)
-		}
-		eng.Close()
+	eng := liveEngine(t, ScoringVector, 2)
+	defer eng.Close()
+	eng.AddDocument("one two three")
+	eng.AddDocument("two three four five")
+	st := eng.Stats()
+	if st.PendingDocs != 2 {
+		t.Errorf("PendingDocs = %d, want 2", st.PendingDocs)
+	}
+	if st.PendingPostings != 7 {
+		t.Errorf("PendingPostings = %d, want 7", st.PendingPostings)
+	}
+	var docs int
+	var posts int64
+	for _, ss := range eng.ShardStats() {
+		docs += ss.PendingDocs
+		posts += ss.PendingPostings
+	}
+	if docs != st.PendingDocs || posts != st.PendingPostings {
+		t.Errorf("ShardStats sum (%d, %d) disagrees with Stats (%d, %d)",
+			docs, posts, st.PendingDocs, st.PendingPostings)
+	}
+	if _, err := eng.FlushBatch(); err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.Stats(); st.PendingDocs != 0 || st.PendingPostings != 0 {
+		t.Errorf("after flush PendingDocs = %d, PendingPostings = %d, want 0, 0",
+			st.PendingDocs, st.PendingPostings)
 	}
 }
 
 // TestLiveSearchDeletePending pins the deletion view across tiers: deleting
-// a pending document removes it from live answers immediately, with and
-// without LiveSearch.
+// a pending document removes it from live answers immediately.
 func TestLiveSearchDeletePending(t *testing.T) {
-	for _, live := range []bool{false, true} {
-		eng := liveEngine(t, live, ScoringVector, 1)
-		keep := eng.AddDocument("shared words here")
-		gone := eng.AddDocument("shared words there")
-		eng.Delete(gone)
-		docs, err := eng.SearchBoolean("shared and words")
+	eng := liveEngine(t, ScoringVector, 1)
+	defer eng.Close()
+	keep := eng.AddDocument("shared words here")
+	gone := eng.AddDocument("shared words there")
+	eng.Delete(gone)
+	docs, err := eng.SearchBoolean("shared and words")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(docs) != 1 || docs[0] != keep {
+		t.Errorf("post-delete answer = %v, want [%d]", docs, keep)
+	}
+}
+
+// errInjectedWrite is the failure faultStore injects.
+var errInjectedWrite = errors.New("injected write failure")
+
+// faultStore fails one block write on demand: once armed, the next WriteAt
+// closes reached, waits until release is closed, and returns
+// errInjectedWrite. Every other call passes through.
+type faultStore struct {
+	disk.BlockStore
+	armed   atomic.Bool
+	reached chan struct{}
+	release chan struct{}
+}
+
+func (f *faultStore) WriteAt(d int, block int64, buf []byte) error {
+	if f.armed.CompareAndSwap(true, false) {
+		close(f.reached)
+		<-f.release
+		return errInjectedWrite
+	}
+	return f.BlockStore.WriteAt(d, block, buf)
+}
+
+// TestFlushFailureRestoresPending drives the failed-flush restore path: a
+// flush whose first write fails puts its batch back beside the documents
+// added while it ran, so every document stays searchable — mid-flush and
+// after the failure — and counted as pending.
+func TestFlushFailureRestoresPending(t *testing.T) {
+	fs := &faultStore{reached: make(chan struct{}), release: make(chan struct{})}
+	eng, err := Open(Options{
+		Buckets:    8,
+		BucketSize: 128,
+		newStore: func(numDisks, blockSize int) disk.BlockStore {
+			fs.BlockStore = disk.NewMemStore(numDisks, blockSize)
+			return fs
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+
+	flushed := eng.AddDocument("shared flushed alpha")
+	if _, err := eng.FlushBatch(); err != nil {
+		t.Fatal(err)
+	}
+	var pending []DocID
+	var postings int64
+	add := func(text string) {
+		pending = append(pending, eng.AddDocument(text))
+		postings += int64(len(lexer.Tokenize(text, lexer.Options{})))
+	}
+	add("shared batch beta")
+	add("shared batch gamma beta")
+
+	fs.armed.Store(true)
+	errc := make(chan error, 1)
+	go func() {
+		_, err := eng.FlushBatch()
+		errc <- err
+	}()
+	<-fs.reached
+	add("shared newer beta")
+	add("shared newer delta")
+
+	check := func(when string) {
+		t.Helper()
+		for q, want := range map[string][]DocID{
+			"shared":                   append([]DocID{flushed}, pending...),
+			"beta":                     {pending[0], pending[1], pending[2]},
+			"batch or delta":           {pending[0], pending[1], pending[3]},
+			"shared and not alpha":     pending,
+			"newer and (beta or gam*)": {pending[2]},
+		} {
+			got, err := eng.SearchBoolean(q)
+			if err != nil {
+				t.Fatalf("%s %q: %v", when, q, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %q = %v, want %v", when, q, got, want)
+			}
+		}
+	}
+	check("mid-flush")
+
+	close(fs.release)
+	if err := <-errc; !errors.Is(err, errInjectedWrite) {
+		t.Fatalf("FlushBatch error = %v, want %v", err, errInjectedWrite)
+	}
+	check("after the failed flush")
+	if st := eng.Stats(); st.PendingDocs != len(pending) || st.PendingPostings != postings {
+		t.Errorf("after the failed flush PendingDocs = %d, PendingPostings = %d, want %d, %d",
+			st.PendingDocs, st.PendingPostings, len(pending), postings)
+	}
+
+	// The failed apply may leave batch postings in the index's in-memory
+	// buckets, which would hide a lost run from the queries above, so the
+	// pending tier is checked on its own too.
+	s := eng.shards[0]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for word, want := range map[string][]DocID{
+		"shared": pending,
+		"beta":   {pending[0], pending[1], pending[2]},
+		"gamma":  {pending[1]},
+		"delta":  {pending[3]},
+	} {
+		got, err := memTier{s: s, runs: s.pending}.List(word)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(docs) != 1 || docs[0] != keep {
-			t.Errorf("live=%v: post-delete answer = %v, want [%d]", live, docs, keep)
+		if !reflect.DeepEqual(got.Docs(), want) {
+			t.Errorf("pending run for %q = %v, want %v", word, got.Docs(), want)
 		}
-		eng.Close()
 	}
 }

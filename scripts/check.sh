@@ -23,6 +23,12 @@ go vet ./...
 # package.
 echo '== go vet (by name, from go list)'
 go list ./... | xargs go vet
+# perfbench is a module of its own (it imports the engine through a replace
+# directive), so the ./... patterns skip it. Vet and test it by path, so its
+# answer checkers run and an engine API change cannot break the benchmark's
+# build unseen.
+echo '== go -C perfbench vet ./...'
+go -C perfbench vet ./...
 echo '== invariant linter (cmd/lint)'
 go run ./cmd/lint ./...
 # Static analysis beyond vet, when the tools are available. The container
@@ -49,6 +55,8 @@ if command -v govulncheck >/dev/null 2>&1; then
 fi
 echo '== go test -race ./...'
 go test -race ./...
+echo '== go -C perfbench test -race ./...'
+go -C perfbench test -race ./...
 # The invariant linter's own analyzers are concurrency contracts encoded as
 # tests; run them by name under the race detector, immune to wildcard drift.
 echo '== go test -race (invariant analyzers)'

@@ -53,18 +53,16 @@ type shard struct {
 	// state and snapBatch the detached batch; searches read them instead of
 	// the live index (guarded by mu: written under Lock, read under RLock).
 	snap      *core.Snapshot
-	snapBatch map[postings.WordID][]postings.DocID
+	snapBatch map[postings.WordID]*postings.List
 
-	// The in-memory inverted index of documents awaiting a flush; it is
-	// searched together with the on-disk index, as the paper prescribes.
-	// pending is the write-side bag form the flush consumes; live is the
-	// read-optimized form (sorted runs + positional tokens) queries consult
-	// when Options.LiveSearch is on, and snapLive its detached counterpart
-	// while a flush is applying the batch (paired with snap/snapBatch,
-	// following the same publish/release protocol).
-	pending         map[postings.WordID][]postings.DocID
-	live            *liveTier // nil unless Options.LiveSearch
-	snapLive        *liveTier // non-nil only mid-flush, and only with live
+	// pending is the in-memory inverted index of documents awaiting a
+	// flush — the paper's in-memory lists M, one per word — searched
+	// together with the on-disk index, as the paper prescribes. Each run is
+	// sorted and frequency-aggregated: documents reach a shard in ascending
+	// identifier order, so a run grows by a tail Push and the flush hands it
+	// to the index as is. pendingDocs and pendingPostings size it for stats,
+	// metrics and the maintenance controller's signals.
+	pending         map[postings.WordID]*postings.List
 	pendingDocs     int
 	pendingPostings int64
 
@@ -138,10 +136,7 @@ func openShard(opts Options, dir string) (*shard, error) {
 		store:   store,
 		cache:   blockCache,
 		vocab:   vocab.New(),
-		pending: make(map[postings.WordID][]postings.DocID),
-	}
-	if opts.LiveSearch {
-		s.live = newLiveTier()
+		pending: make(map[postings.WordID]*postings.List),
 	}
 	if resume {
 		s.index, err = core.Open(cfg)
@@ -221,9 +216,9 @@ func (s *shard) maxIndexedDoc() postings.DocID {
 }
 
 // addDocumentLocked tokenizes text and appends it to the shard's pending
-// batch (and live tier, when enabled). The engine has already assigned the
-// identifier, routed the document here, and acquired s.mu (see
-// Engine.AddDocument for why the two locks overlap).
+// batch. The engine has already assigned the identifier, routed the
+// document here, and acquired s.mu (see Engine.AddDocument for why the two
+// locks overlap).
 func (s *shard) addDocumentLocked(doc postings.DocID, text string) {
 	s.indexPendingLocked(doc, text)
 	if s.docs != nil && s.docErr == nil {
@@ -231,20 +226,23 @@ func (s *shard) addDocumentLocked(doc postings.DocID, text string) {
 	}
 }
 
-// indexPendingLocked indexes one document into the shard's in-memory
-// structures: the pending bag map the next flush consumes, and — under
-// Options.LiveSearch — the live tier's sorted runs and positional tokens,
-// which is what makes the document searchable the moment this returns.
-// Called with s.mu held (or on a shard not yet shared, during recovery).
+// indexPendingLocked indexes one document into the shard's pending runs,
+// which is what makes the document searchable the moment this returns. doc
+// must exceed every identifier already pending. Called with s.mu held (or
+// on a shard not yet shared, during recovery).
 func (s *shard) indexPendingLocked(doc postings.DocID, text string) {
 	words := lexer.Tokenize(text, s.opts.Lexer)
-	ids := make([]postings.WordID, len(words))
-	for i, word := range words {
-		ids[i] = s.vocab.GetOrAssign(word)
-		s.pending[ids[i]] = append(s.pending[ids[i]], doc)
-	}
-	if s.live != nil {
-		s.live.add(doc, ids, lexer.TokenizePositions(text, s.opts.Lexer))
+	for _, word := range words {
+		w := s.vocab.GetOrAssign(word)
+		run := s.pending[w]
+		if run == nil {
+			run = &postings.List{}
+			s.pending[w] = run
+		}
+		// A duplicate token (under lexer.Options.KeepDuplicates) pushes the
+		// tail document again, and Push folds it into one posting with the
+		// frequency accumulated.
+		run.Push(doc, 1)
 	}
 	s.pendingDocs++
 	s.pendingPostings += int64(len(words))
@@ -259,7 +257,7 @@ func (s *shard) numPending() int {
 	return s.pendingDocs
 }
 
-// numPendingPostings reports how many postings await a flush — the live
+// numPendingPostings reports how many postings await a flush — the pending
 // tier's volume, feeding the pending_postings gauge and Stats.
 func (s *shard) numPendingPostings() int64 {
 	s.mu.RLock()
@@ -301,17 +299,13 @@ func (s *shard) flushBatch() (BatchStats, error) {
 		}
 	}
 	batch, batchDocs, batchPostings := s.pending, s.pendingDocs, s.pendingPostings
-	s.pending = make(map[postings.WordID][]postings.DocID)
+	// Documents added while the batch applies land in fresh runs; queries
+	// read snap + snapBatch + pending, so answers stay equal to the
+	// pre-flush (hence post-flush) ones throughout.
+	s.pending = make(map[postings.WordID]*postings.List)
 	s.pendingDocs, s.pendingPostings = 0, 0
 	s.snap = s.index.Snapshot()
 	s.snapBatch = batch
-	if s.live != nil {
-		// Publish the live tier as the flush's detached tier and start a
-		// fresh one: documents added while the batch applies land in the new
-		// tier, queries read snap + snapLive + live, and answers stay equal
-		// to the pre-flush (hence post-flush) ones throughout.
-		s.snapLive, s.live = s.live, newLiveTier()
-	}
 	s.mu.Unlock()
 
 	words := make([]postings.WordID, 0, len(batch))
@@ -319,10 +313,12 @@ func (s *shard) flushBatch() (BatchStats, error) {
 		words = append(words, w)
 	}
 	slices.Sort(words)
+	// The index only reads update lists (buckets clone them or append from
+	// them, long lists copy them into blocks), so queries may keep reading
+	// snapBatch's runs while the batch applies.
 	updates := make([]core.WordUpdate, 0, len(words))
 	for _, w := range words {
-		list := postings.FromDocs(batch[w])
-		updates = append(updates, core.WordUpdate{Word: w, Count: list.Len(), List: list})
+		updates = append(updates, core.WordUpdate{Word: w, Count: batch[w].Len(), List: batch[w]})
 	}
 	st, err := s.index.ApplyUpdate(updates)
 
@@ -330,23 +326,19 @@ func (s *shard) flushBatch() (BatchStats, error) {
 	s.snap, s.snapBatch = nil, nil
 	if err != nil {
 		// Put the batch back so no documents are lost. Batch documents
-		// precede anything added while the flush ran, so prepending keeps
-		// every per-word list sorted; the detached live tier likewise
-		// re-absorbs the fresh one.
-		for w, docs := range batch {
-			s.pending[w] = append(docs, s.pending[w]...)
+		// precede anything added while the flush ran, so each union below is
+		// a concatenation that keeps the run sorted.
+		for w, run := range batch {
+			if newer := s.pending[w]; newer != nil {
+				run = postings.Union(run, newer)
+			}
+			s.pending[w] = run
 		}
 		s.pendingDocs += batchDocs
 		s.pendingPostings += batchPostings
-		if s.snapLive != nil {
-			s.snapLive.absorb(s.live)
-			s.live, s.snapLive = s.snapLive, nil
-		}
 		s.mu.Unlock()
 		return BatchStats{}, err
 	}
-	// The batch is on disk: retire the detached live tier with the snapshot.
-	s.snapLive = nil
 	out := BatchStats{
 		Docs:      batchDocs,
 		Words:     st.Words,
@@ -386,32 +378,14 @@ func (s *shard) tiers() *query.TieredSource {
 		isDeleted := s.snap.IsDeleted
 		return query.NewTieredSource(
 			diskTier{s: s, get: s.snap.GetList},
-			memTier{s: s, live: s.snapLive, bags: s.snapBatch, isDeleted: isDeleted},
-			memTier{s: s, live: s.live, bags: s.pending, isDeleted: isDeleted},
+			memTier{s: s, runs: s.snapBatch, isDeleted: isDeleted},
+			memTier{s: s, runs: s.pending, isDeleted: isDeleted},
 		)
 	}
 	return query.NewTieredSource(
 		diskTier{s: s, get: s.index.GetList},
-		memTier{s: s, live: s.live, bags: s.pending, isDeleted: s.index.IsDeleted},
+		memTier{s: s, runs: s.pending, isDeleted: s.index.IsDeleted},
 	)
-}
-
-// list returns the full current list for a word string: the merge of every
-// read tier (see tiers), filtered of deleted docs. Called under s.mu.RLock,
-// from any number of goroutines.
-func (s *shard) list(word string) (*postings.List, error) {
-	return s.tiers().List(word)
-}
-
-// shardSource adapts a shard to the query package's Source interface.
-type shardSource struct{ s *shard }
-
-func (src shardSource) List(word string) (*postings.List, error) { return src.s.list(word) }
-
-// WordsWithPrefix enumerates the shard's vocabulary through its B-tree
-// dictionary, enabling truncation queries.
-func (src shardSource) WordsWithPrefix(prefix string) []string {
-	return src.s.vocab.WordsWithPrefix(prefix)
 }
 
 // prefetchPlan is the shared head of plan execution on this shard: reject
@@ -644,7 +618,7 @@ func (s *shard) document(id postings.DocID) (text string, ok bool, err error) {
 		return "", false, fmt.Errorf("dualindex: Options.KeepDocuments not enabled")
 	}
 	// Mid-flush the live index's deletion filter is mutating; consult the
-	// published snapshot's instead, as list() does.
+	// published snapshot's instead, as tiers() does.
 	isDeleted := s.index.IsDeleted
 	if s.snap != nil {
 		isDeleted = s.snap.IsDeleted
@@ -672,25 +646,16 @@ func (s *shard) diskOpCounts(d int) disk.DiskOps {
 
 // verifyDocs is the positional half of candidate verification (the
 // executor's VerifyFunc): it keeps the candidates whose positional tokens
-// satisfy check. A candidate still in the live tier verifies from the
-// tier's in-memory tokens — no document-store read, no re-tokenization —
-// which is what makes phrase, proximity and region conditions on unflushed
-// documents as cheap as boolean ones; everything else reads the document
-// store. Both paths apply the same tokenization, so a document verifies
-// identically before and after its flush. Called under s.mu.RLock, from
-// plan execution.
+// satisfy check, tokenizing each candidate's text from the document store.
+// The store holds pending documents too (addDocumentLocked puts them at
+// add time), so a document verifies identically before and after its
+// flush. Called under s.mu.RLock, from plan execution.
 func (s *shard) verifyDocs(candidates []DocID, check func([]lexer.Token) bool) ([]DocID, error) {
 	if s.docs == nil {
 		return nil, fmt.Errorf("dualindex: positional queries need Options.KeepDocuments")
 	}
 	var out []DocID
 	for _, d := range candidates {
-		if toks, ok := s.liveDocTokens(d); ok {
-			if check(toks) {
-				out = append(out, d)
-			}
-			continue
-		}
 		text, ok, err := s.docs.Get(d)
 		if err != nil {
 			return nil, err
@@ -703,25 +668,6 @@ func (s *shard) verifyDocs(candidates []DocID, check func([]lexer.Token) bool) (
 		}
 	}
 	return out, nil
-}
-
-// liveDocTokens looks a document's positional tokens up in the live tier
-// and, mid-flush, in the detached tier being applied (snapLive) — the same
-// publish/release pairing every tier read honors. ok is false when the
-// document is not in either (flushed, or the engine runs without
-// Options.LiveSearch). Called under s.mu.RLock.
-func (s *shard) liveDocTokens(d postings.DocID) ([]lexer.Token, bool) {
-	if s.live != nil {
-		if toks, ok := s.live.docTokens(d); ok {
-			return toks, true
-		}
-	}
-	if s.snapLive != nil {
-		if toks, ok := s.snapLive.docTokens(d); ok {
-			return toks, true
-		}
-	}
-	return nil, false
 }
 
 // maxDoc reports the largest document identifier this shard has seen — the

@@ -97,10 +97,8 @@ type Stats struct {
 	CodecEncodedBytes int64
 	CompressionRatio  float64
 	// PendingDocs and PendingPostings are the unflushed in-memory volume:
-	// documents added since the last flush and the postings they carry —
-	// the live tier's size when Options.LiveSearch is on, the pending bag
-	// map's otherwise (the two representations always agree). A flush
-	// drains them to zero; mid-flush, the batch being applied is no longer
+	// documents added since the last flush and the postings they carry. A
+	// flush drains them to zero; mid-flush, the batch being applied is no longer
 	// counted here.
 	PendingDocs     int
 	PendingPostings int64
